@@ -27,12 +27,14 @@ from dataclasses import dataclass, field
 
 from repro.analysis.dataflow import (
     Solution, _Variance, _is_special, defs_of, solve, uses_of)
-from repro.ptx.ast import Kernel
+from repro.ptx.ast import LABEL, Kernel
 
 #: Version of the vectorizability facts (cache-key component).
 #: 2: megablock plans additionally carry affine memory facts from
 #: :mod:`repro.analysis.ranges`.
-ANALYSIS_VERSION = 2
+#: 3: barrier divergence is per barrier (reachability from a divergent
+#: branch) instead of kernel-granular.
+ANALYSIS_VERSION = 3
 
 #: Specials that may differ between two threads *of the grid*.
 _GRID_VARIANT_SPECIALS = ("%tid", "%laneid", "%clock", "%ctaid", "%warpid")
@@ -71,6 +73,7 @@ class VectorReport:
     ``variant_after`` — per-pc grid-variant register sets (the raw
     facts, kept for lints and debugging).
     ``barrier_pcs`` — every ``bar`` pc, for the barrier admission rule.
+    ``divergent_barriers`` — the bars some divergent branch can reach.
     """
 
     kernel: str
@@ -78,6 +81,7 @@ class VectorReport:
     divergent_branches: frozenset[int] = frozenset()
     variant_after: dict[int, frozenset] = field(default_factory=dict)
     barrier_pcs: frozenset[int] = frozenset()
+    divergent_barriers: frozenset[int] = frozenset()
 
     @property
     def has_divergence(self) -> bool:
@@ -87,13 +91,51 @@ class VectorReport:
         """Per-barrier divergence fact feeding megablock plan admission.
 
         ``False`` proves the barrier can only ever be reached by a full
-        frame (no branch of the kernel diverges across the grid), so
-        the vector machine may skip its runtime containment proof;
-        ``True`` keeps the runtime check (and the park/bail protocol)
-        armed.  Currently kernel-granular — a per-barrier reachability
-        refinement can tighten this without touching the consumer.
+        frame, so the vector machine may skip its runtime containment
+        proof; ``True`` keeps the runtime check (and the park/bail
+        protocol) armed.  A frame splits only at a divergent branch and
+        every frame born of a split sits at a pc reachable from that
+        branch, so a bar no divergent branch can reach meets the one
+        unsplit frame of its chunk.
         """
-        return {pc: self.has_divergence for pc in self.barrier_pcs}
+        return {pc: pc in self.divergent_barriers
+                for pc in self.barrier_pcs}
+
+
+def _reachable_from(kernel: Kernel, branches) -> frozenset[int]:
+    """pcs reachable from the successors of *branches* (excluded
+    themselves unless a path loops back to them)."""
+    body = kernel.body
+    size = len(body)
+    seen: set[int] = set()
+    work: list[int] = []
+
+    def successors(pc: int) -> list[int]:
+        inst = body[pc]
+        out = []
+        if inst.opcode == "bra":
+            for op in inst.operands:
+                if op.kind == LABEL:
+                    out.append(kernel.labels[op.name])
+                    break
+            if inst.pred is not None:
+                out.append(pc + 1)
+        elif inst.opcode in ("exit", "ret"):
+            if inst.pred is not None:
+                out.append(pc + 1)
+        else:
+            out.append(pc + 1)
+        return [nxt for nxt in out if nxt < size]
+
+    for pc in branches:
+        work.extend(successors(pc))
+    while work:
+        pc = work.pop()
+        if pc in seen:
+            continue
+        seen.add(pc)
+        work.extend(successors(pc))
+    return frozenset(seen)
 
 
 def classify_kernel(kernel: Kernel) -> VectorReport:
@@ -113,9 +155,11 @@ def classify_kernel(kernel: Kernel) -> VectorReport:
             divergent.add(inst.index)
         else:
             uniform.add(inst.index)
+    reached = _reachable_from(kernel, divergent) if barriers else ()
     return VectorReport(
         kernel=kernel.name,
         uniform_branches=frozenset(uniform),
         divergent_branches=frozenset(divergent),
         variant_after=dict(solution.after),
-        barrier_pcs=frozenset(barriers))
+        barrier_pcs=frozenset(barriers),
+        divergent_barriers=frozenset(barriers & set(reached)))

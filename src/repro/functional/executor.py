@@ -14,7 +14,9 @@ barriers) and defers everything else to the dispatch table in
   instruction at a time through :meth:`step_warp` and uses the returned
   :class:`ExecRecord` (opcode class, per-lane memory addresses) to charge
   cycles.  This contract is untouched by superblocks: one record per
-  issued instruction, always.
+  issued instruction, always.  A launch the megablock tier runs whole
+  is instead recorded once (``run_range(..., recorder=...)``) and its
+  per-warp streams replayed (:mod:`repro.timing.replay`).
 
 The interpreter tiers are ablatable through ``fast_mode``:
 ``"reference"`` (generic dispatch only), ``"fastpath"`` (per-instruction
@@ -31,6 +33,7 @@ tracing) always take the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import SimulationFault, TimingDeadlockError
@@ -205,36 +208,12 @@ class FunctionalEngine:
             # Legacy semantics in play: take the reference interpreter
             # everywhere so quirky behaviour is modelled exactly.
             fast_mode = "reference"
-        if fast_mode == "reference":
-            self._fast = [None] * self._body_len
-        else:
-            fast = getattr(self.kernel, "_fastpath", None)
-            if fast is None or len(fast) != self._body_len:
-                from repro.functional.fastpath import compile_kernel
-                fast = compile_kernel(self.kernel)
-                self.kernel._fastpath = fast
-            self._fast = fast
         self._contract_sites = (
             self._find_fp16_contractions() if contract_fp16 else {})
         if fast_mode in ("superblock", "megablock") and contract_fp16:
             # Contraction rewrites mul+add pairs at issue time; fused
             # blocks would execute the pair unfused.  Step instead.
             fast_mode = "fastpath"
-        self._superblocks = {}
-        if fast_mode in ("superblock", "megablock"):
-            # The megablock tier needs superblocks too: they run the
-            # scalar continuation after a divergent-barrier bailout and
-            # every external-driver path (iter_ctas / run_cta).
-            from repro.functional.superblock import compile_superblocks
-            # Cache keyed on the fastpath list identity: if tests swap
-            # kernel._fastpath, stale blocks must not survive.
-            cached = getattr(self.kernel, "_superblock", None)
-            if cached is None or cached[0] is not self._fast:
-                blocks = compile_superblocks(self.kernel, self._fast)
-                self.kernel._superblock = (self._fast, blocks)
-            else:
-                blocks = cached[1]
-            self._superblocks = blocks
         self.fast_mode = fast_mode
         #: Armed sanitizer (repro.sanitize.core.Sanitizer) or None.
         self.sanitizer = None
@@ -269,6 +248,43 @@ class FunctionalEngine:
                         _hook(record)
 
                     self.on_exec = chained
+
+    # ------------------------------------------------------------------
+    # Scalar tiers, compiled on first scalar use
+    # ------------------------------------------------------------------
+    # A launch the megablock tier runs whole never steps a warp, so the
+    # per-instruction closures and fused blocks are built only when
+    # something first reads them: step_warp, run_cta, a fallback or a
+    # bailout.  cached_property stores the result in the instance dict,
+    # so every later read is a plain attribute hit with no check.
+    @cached_property
+    def _fast(self) -> list:
+        if self.fast_mode == "reference":
+            return [None] * self._body_len
+        fast = getattr(self.kernel, "_fastpath", None)
+        if fast is None or len(fast) != self._body_len:
+            from repro.functional.fastpath import compile_kernel
+            fast = compile_kernel(self.kernel)
+            self.kernel._fastpath = fast
+        return fast
+
+    @cached_property
+    def _superblocks(self) -> dict:
+        if self.fast_mode not in ("superblock", "megablock"):
+            return {}
+        # The megablock tier needs superblocks too: they run the scalar
+        # continuation after a divergent-barrier bailout and every
+        # external-driver path (iter_ctas / run_cta).
+        from repro.functional.superblock import compile_superblocks
+        # Cache keyed on the fastpath list identity: if tests swap
+        # kernel._fastpath, stale blocks must not survive.
+        fast = self._fast
+        cached = getattr(self.kernel, "_superblock", None)
+        if cached is not None and cached[0] is fast:
+            return cached[1]
+        blocks = compile_superblocks(self.kernel, fast)
+        self.kernel._superblock = (fast, blocks)
+        return blocks
 
     # ------------------------------------------------------------------
     # Megablock plan loading (disk cache -> in-process cache -> compile)
@@ -588,7 +604,8 @@ class FunctionalEngine:
         return self.run_range(0, self.launch.num_ctas)
 
     def run_range(self, first_cta: int, limit_cta: int,
-                  stats: RunStats | None = None) -> RunStats:
+                  stats: RunStats | None = None, *,
+                  recorder=None) -> RunStats:
         """Execute CTAs ``first_cta .. limit_cta-1`` (a shard of the
         grid) in functional simulation mode.
 
@@ -597,6 +614,11 @@ class FunctionalEngine:
         process — produces the same architectural state as :meth:`run`,
         provided CTA write sets do not overlap (and in ascending-range
         order even when they do).
+
+        A *recorder* (:class:`repro.functional.warptrace.
+        WarpTraceRecorder`) is handed every issue of the run; only the
+        megablock tier records, so a launch that would run on a scalar
+        tier raises ``ValueError``.
         """
         stats = RunStats() if stats is None else stats
         if not 0 <= first_cta <= limit_cta <= self.launch.num_ctas:
@@ -610,13 +632,17 @@ class FunctionalEngine:
             from repro.functional.megablock import EVENTS, MegaMachine
             with tracer.span(f"megablock:{self.kernel.name}",
                              cat="engine"):
-                machine = MegaMachine(self, self._megaplan)
+                machine = MegaMachine(self, self._megaplan, recorder)
                 machine.run(stats, first_cta=first_cta,
                             num_ctas=limit_cta - first_cta)
             self.megablock_bailouts += machine.bailouts
             if tracer.enabled:
                 tracer.counter("megablock", dict(EVENTS))
             return stats
+        if recorder is not None:
+            raise ValueError(
+                f"{self.kernel.name}: only a megablock launch can record "
+                "a warp trace")
         restore_hook = False
         if self.sanitizer is not None and self.on_exec is None:
             # A megaplan normally keeps on_exec clear (vector-tier

@@ -37,6 +37,13 @@ against a private copy of the dense memory mirror and the per-chunk
 write sets merge back in ascending chunk order, keeping results
 bit-identical to the sequential schedule.
 
+A *recording* run (:mod:`repro.functional.warptrace`) executes the
+same plan through twins of its block functions that also report every
+predicated instruction's guard and every ld/st's addresses, and the
+machine reports each block, control instruction and fall-off step; the
+timing model replays the per-warp streams this yields instead of
+stepping the scalar engine.  A plain run executes none of it.
+
 Generated block sources are plain strings binding only ``np``/``H``
 (:mod:`repro.functional.npops`) plus the runtime ``VM`` object, which
 makes them JSON-serialisable; :mod:`repro.functional.kernelcache`
@@ -57,7 +64,7 @@ from repro.analysis.ranges import (
 from repro.analysis.vectorize import classify_kernel
 from repro.errors import SimulationFault
 from repro.functional import npops
-from repro.functional.cfg import block_leaders, prepare_kernel
+from repro.functional.cfg import block_leaders, compute_reconvergence
 from repro.functional.memory import GLOBAL_BASE
 from repro.functional.simt import NO_RECONVERGE, SimtEntry, SimtStack
 from repro.functional.state import CTAState, thread_tables
@@ -139,7 +146,11 @@ class _VecGen:
     thread (the common case for kernels without divergence).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, record: bool = False) -> None:
+        #: Recording variant (trace-driven timing): every predicated
+        #: instruction reports its guard and every ld/st its per-thread
+        #: addresses to the machine's warp-trace recorder.
+        self.record = record
         self.pre: list[str] = []
         self.body: list[str] = []
         self._n = 0
@@ -290,6 +301,10 @@ class _VecGen:
         Register writes of a predicated instruction blend under its
         guard by default; unpredicated instructions write through."""
         self._auto_pm = None if inst.pred is None else self.guard(inst)
+        if (self.record and self._auto_pm is not None
+                and inst.opcode not in ("ld", "st")):
+            self.body.append(f"    VM.rec_guard({inst.index}, "
+                             f"{self._auto_pm})")
 
     # -- assembly -------------------------------------------------------
     def build(self, live_out: frozenset) -> tuple[str, list[str]]:
@@ -656,6 +671,8 @@ def _e_ld(inst: ast.Instruction, g: _VecGen) -> bool:
         return False
     signed = dtype.is_signed and dtype.bits < 64
     merge = pm if inst.pred is not None else None
+    if g.record:
+        g.body.append(f"    VM.rec_mem({inst.index}, {addr}, {pm})")
     for index, d in enumerate(dests):
         a_expr = addr if index == 0 \
             else f"({addr}) + np.uint64({index * nbytes})"
@@ -689,6 +706,8 @@ def _e_st(inst: ast.Instruction, g: _VecGen) -> bool:
     addr = _addr_local(inst, g, mem)
     if addr is None:
         return False
+    if g.record:
+        g.body.append(f"    VM.rec_mem({inst.index}, {addr}, {pm})")
     for index, val in enumerate(values):
         a_expr = addr if index == 0 \
             else f"({addr}) + np.uint64({index * nbytes})"
@@ -761,6 +780,9 @@ class MegaPlan:
         #: in the plan so a cached kernel (whose body never re-parses)
         #: still arms the sanitizer's launch-time proofs.
         self.facts = facts if facts is not None else {}
+        #: start pc -> recording twin of the block function, built on
+        #: the first recording run (see :func:`recording_blocks`).
+        self._recording: dict | None = None
 
     @property
     def pruned(self) -> dict:
@@ -827,11 +849,16 @@ def plan_from_payload(payload: dict) -> MegaPlan:
 
 
 def compile_megaplan(kernel) -> MegaPlan:
-    """Classify, segment and compile *kernel* into a vector plan."""
-    if (not kernel.reconvergence
-            and any(i.opcode == "bra" and i.pred is not None
-                    for i in kernel.body)):
-        prepare_kernel(kernel)
+    """Classify, segment and compile *kernel* into a vector plan.
+
+    The plan carries the IPDOM reconvergence map computed here, never
+    one already attached to the kernel: an exit-reconvergence ablation
+    engine may have attached its own, and a plan persisted with it
+    would mis-time every later process that loads the plan.
+    """
+    reconvergence = compute_reconvergence(kernel)
+    if not kernel.reconvergence:
+        kernel.reconvergence = dict(reconvergence)
     body = kernel.body
     n = len(body)
     reasons: list[str] = []
@@ -869,8 +896,7 @@ def compile_megaplan(kernel) -> MegaPlan:
                     reasons.append(f"pc {pc}: bra without label target")
                 ctrl["target"] = target
                 if inst.pred is not None:
-                    ctrl["rpc"] = kernel.reconvergence.get(
-                        pc, NO_RECONVERGE)
+                    ctrl["rpc"] = reconvergence.get(pc, NO_RECONVERGE)
                     ctrl["uniform"] = pc in report.uniform_branches
             controls[pc] = ctrl
             pc += 1
@@ -912,8 +938,37 @@ def compile_megaplan(kernel) -> MegaPlan:
     return MegaPlan(kernel_name=kernel.name, body_len=n,
                     eligible=eligible, reasons=reasons, blocks=blocks,
                     controls=controls,
-                    reconvergence=dict(kernel.reconvergence),
+                    reconvergence=reconvergence,
                     facts=kernel_facts(kernel))
+
+
+def recording_blocks(plan: MegaPlan, kernel) -> dict:
+    """Recording twins of an eligible plan's block functions.
+
+    Same segmentation, same code and the same flush set as the plan's
+    own blocks, plus ``VM.rec_guard``/``VM.rec_mem`` calls that hand
+    each predicated instruction's guard and each ld/st's addresses to
+    the machine's recorder.  Built once per plan, on the first recording
+    run, so a plain megablock launch never pays for them.
+    """
+    if plan._recording is None:
+        body = kernel.body
+        fns = {}
+        for start, block in plan.blocks.items():
+            gen = _VecGen(record=True)
+            for pc in range(start, block.end):
+                gen.begin_inst(body[pc])
+                if not _emit(body[pc], gen):
+                    raise SimulationFault(
+                        f"pc {pc}: no recording form for "
+                        f"{body[pc].opcode}")
+            pruned = set(block.pruned)
+            source, _ = gen.build(frozenset(
+                name for name in gen._writes if name not in pruned))
+            fns[start] = _compile_source(source,
+                                         f"{kernel.name}:{start}:rec")
+        plan._recording = fns
+    return plan._recording
 
 
 # ----------------------------------------------------------------------
@@ -939,10 +994,12 @@ _GATHER_SHIFT = {2: np.uint64(1), 4: np.uint64(2), 8: np.uint64(3)}
 class MegaMachine:
     """Executes a whole launch in lockstep grid chunks."""
 
-    def __init__(self, engine, plan: MegaPlan) -> None:
+    def __init__(self, engine, plan: MegaPlan, recorder=None) -> None:
         self.engine = engine
         self.launch = engine.launch
         self.plan = plan
+        #: WarpTraceRecorder (or None): every issue is reported to it.
+        self._rec = recorder
         #: armed Sanitizer (or None): ld/st run masked shadow checks,
         #: bars run the synccheck and advance the racecheck epoch.
         self._san = getattr(engine, "sanitizer", None)
@@ -973,6 +1030,7 @@ class MegaMachine:
             start += nct
         workers = chunk_workers()
         if (len(chunks) > 1 and workers > 1 and self._san is None
+                and self._rec is None
                 and not any(c["op"] == "bar"
                             for c in self.plan.controls.values())):
             # Chunks are CTA-disjoint, so they commute exactly like the
@@ -980,7 +1038,8 @@ class MegaMachine:
             # sequential path: a park/bailout mutates launch-wide state
             # (scalar continuation, tracer) that must not race.  The
             # sanitizer also forces sequential chunks — its finding
-            # funnel and shadow absorption are not thread-safe.
+            # funnel and shadow absorption are not thread-safe — and so
+            # does a recorder, which appends in issue order.
             self._run_overlapped(chunks, stats, workers)
             return
         # Casting f64->f32 with overflow emits RuntimeWarnings the
@@ -1139,6 +1198,14 @@ class MegaMachine:
 
     def sp(self, name: str) -> np.ndarray:
         return self.specials[name]
+
+    def rec_guard(self, pc: int, guard: np.ndarray) -> None:
+        """Recording block functions: report a predicated guard."""
+        self._rec.guard(pc, guard)
+
+    def rec_mem(self, pc: int, addr, pm: np.ndarray) -> None:
+        """Recording block functions: report a ld/st's addresses."""
+        self._rec.mem(pc, addr, pm)
 
     def fill(self, value: int) -> np.ndarray:
         return np.full(self.T, np.uint64(int(value) & MASK64))
@@ -1578,6 +1645,10 @@ class MegaMachine:
         stack = [_Frame(0, NO_RECONVERGE, m0, self._wa(m0), True)]
         parked: list[_Frame] = []
         clock = 0
+        rec = self._rec
+        if rec is not None:
+            rec.begin_chunk(self)
+            rec_fns = recording_blocks(plan, self.launch.kernel)
         while stack or parked:
             if not stack:
                 self._release_parked(stack, parked)
@@ -1595,13 +1666,19 @@ class MegaMachine:
                 # scalar step returns before charging the clock).
                 if self._san is not None:
                     self._exit_pc[frame.mask] = pc
+                if rec is not None:
+                    rec.fall_off(frame.mask)
                 self._retire(stack, frame.mask)
                 if parked:
                     self._release_parked(stack, parked)
                 continue
             block = blocks.get(pc)
             if block is not None:
-                block.fn(self, R, frame.mask, frame.full)
+                if rec is None:
+                    block.fn(self, R, frame.mask, frame.full)
+                else:
+                    rec_fns[pc](self, R, frame.mask, frame.full)
+                    rec.block(pc, block.end, frame.mask)
                 wa = frame.wa
                 clock += wa * block.count
                 for op, times in block.opcode_counts.items():
@@ -1617,6 +1694,8 @@ class MegaMachine:
             if kind == "bra":
                 pred = ctrl["pred"]
                 if pred is None:
+                    if rec is not None:
+                        rec.control(pc, frame.mask, frame.mask)
                     self._advance(stack, ctrl["target"])
                     continue
                 parr = R.get(pred)
@@ -1627,6 +1706,8 @@ class MegaMachine:
                 if ctrl["neg"]:
                     pv = ~pv
                 taken = frame.mask & pv
+                if rec is not None:
+                    rec.control(pc, frame.mask, taken)
                 if not taken.any():
                     self._advance(stack, pc + 1)
                     continue
@@ -1637,6 +1718,10 @@ class MegaMachine:
                 self._diverge(stack, frame, pc, ctrl["target"],
                               ctrl["rpc"], taken, not_taken)
                 continue
+            if rec is not None:
+                # exit and bar: predicated forms are ineligible, so the
+                # whole frame is active.
+                rec.control(pc, frame.mask, frame.mask)
             if kind == "exit":
                 em = frame.mask
                 if self._san is not None:
@@ -1685,6 +1770,10 @@ class MegaMachine:
             # Intra-warp divergence reached a barrier: no faithful
             # vector parking exists, so finish the chunk's CTAs on the
             # scalar engine.
+            if rec is not None:
+                raise SimulationFault(
+                    f"pc {pc}: warp-trace recording cannot follow a "
+                    "barrier bailout")
             self.launch.clock += clock
             stats.instructions += clock
             self._bailout(stack, parked, stats)

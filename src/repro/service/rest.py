@@ -60,6 +60,10 @@ MAX_RESULT_WAIT_S = 300.0
 #: Cap on a single events long-poll; clients re-poll with ``since``.
 MAX_EVENTS_WAIT_S = 60.0
 
+#: Largest request body the server reads (a job submission is a few
+#: hundred bytes); a longer declared ``Content-Length`` answers 413.
+MAX_BODY_BYTES = 1 << 20
+
 #: The full route manifest: ``(method, path)`` for every endpoint the
 #: server answers.  ``tools/check_operations_doc.py`` asserts that
 #: ``docs/OPERATIONS.md`` documents every row, so adding a route here
@@ -117,9 +121,27 @@ class ServiceHandler(BaseHTTPRequestHandler):
         self._send(code, {"error": message})
 
     def _read_json(self) -> dict | None:
-        """Parse the request body as a JSON object (else answer 400)."""
+        """Parse the request body as a JSON object (else answer 400).
+
+        The declared ``Content-Length`` is checked before anything is
+        read: a negative length would block the read until the client
+        hangs up, and an oversized one would be buffered whole.  Both
+        close the connection, since their body stays unread.
+        """
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            self._error(400, "Content-Length is not an integer")
+            return None
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                self._error(400, "Content-Length must not be negative")
+            else:
+                self._error(413, f"request body over {MAX_BODY_BYTES} "
+                                 "bytes")
+            return None
+        try:
             raw = self.rfile.read(length) if length else b"{}"
             body = json.loads(raw or b"{}")
         except (ValueError, OSError):

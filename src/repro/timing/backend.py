@@ -36,17 +36,21 @@ class TimingBackend:
         self.tracer = NULL_TRACER
 
     def execute(self, launch: LaunchContext) -> KernelRunResult:
-        stats, samples = self.gpu.simulate(launch)
+        gpu = self.gpu
+        stats, samples = gpu.simulate(launch)
         self.kernel_stats.append(stats)
         if self.tracer.enabled:
+            args = {"tier": "timing", "feed": gpu.feed,
+                    "cycles": stats.cycles,
+                    "instructions": stats.warp_instructions,
+                    "ipc": round(stats.warp_instructions / stats.cycles,
+                                 4) if stats.cycles else 0.0}
+            if gpu.feed_reason is not None:
+                args["feed_reason"] = gpu.feed_reason
             self.tracer.complete(
                 f"timing:{launch.kernel.name}",
                 ts=self.tracer.clock.now, dur=float(stats.cycles),
-                cat="engine",
-                args={"tier": "timing", "cycles": stats.cycles,
-                      "instructions": stats.warp_instructions,
-                      "ipc": round(stats.warp_instructions / stats.cycles,
-                                   4) if stats.cycles else 0.0})
+                cat="engine", args=args)
         payload = asdict(stats)
         payload.pop("extra", None)
         payload.update(stats.extra)

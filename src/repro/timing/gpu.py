@@ -1,7 +1,15 @@
 """Top-level performance simulator (the "Performance simulation mode").
 
-Execution-driven: SM schedulers pull instructions from the functional
-engine at issue time.  The main loop is cycle-based with an idle-jump
+SM schedulers pull one record per issued warp instruction from a
+*feed*.  A launch the megablock tier runs whole, with nothing that can
+stop it early, is trace-driven: one recording megablock run yields
+every warp's issue stream and :class:`repro.timing.replay.TraceFeed`
+replays it.  Every other launch is execution-driven: the scalar
+functional engine executes each instruction at issue time, as in
+GPGPU-Sim.  Both feeds drive the same SM, cache and DRAM model and give
+identical statistics (DESIGN.md §5 states the selection rule).
+
+The main loop is cycle-based with an idle-jump
 optimisation — when no scheduler can issue, time skips to the next
 event/wake-up, with the skipped scheduler-cycles charged to the
 appropriate W0 stall bucket so AerialVision's warp-issue breakdown stays
@@ -46,6 +54,10 @@ class GpuTiming:
         #: predicate over MemRequest that makes the interconnect "lose"
         #: matching requests (repro.faultinject's dropped-response site).
         self.mem_fault_filter = mem_fault_filter
+        #: Feed of the last simulated launch ("trace" or "execution")
+        #: and, for an execution-driven one, why it could not be traced.
+        self.feed = ""
+        self.feed_reason: str | None = None
 
     def simulate(self, launch: LaunchContext, *,
                  first_cta: int = 0,
@@ -79,11 +91,26 @@ class GpuTiming:
                 resident.mem_pending -= 1
             schedule(time, deliver)
 
-        engine = FunctionalEngine(
-            launch, reconverge_at_exit=self.reconverge_at_exit)
+        engine, reason = self._select_feed(launch, first_cta, premade_ctas)
+        self.feed_reason = reason
+        if reason is None:
+            # Imported here: a process that never traces never pays.
+            from repro.functional.warptrace import WarpTraceRecorder
+            from repro.timing.replay import TraceFeed
+            self.feed = "trace"
+            recorder = WarpTraceRecorder(launch)
+            engine.run_range(0, launch.num_ctas, recorder=recorder)
+            feed = TraceFeed(recorder.finish(), launch, config.line_size)
+            new_cta = feed.cta
+        else:
+            self.feed = "execution"
+            feed = engine
+
+            def new_cta(cta_linear: int) -> CTAState:
+                return CTAState(launch, cta_linear)
         memsys = MemorySubsystem(config, stats, samples, schedule, respond,
                                  fault_filter=self.mem_fault_filter)
-        sms = [SMCore(sm_id, config, engine, memsys, stats, samples)
+        sms = [SMCore(sm_id, config, feed, memsys, stats, samples)
                for sm_id in range(config.num_sms)]
 
         next_cta = first_cta
@@ -103,8 +130,7 @@ class GpuTiming:
                         break
                     if not sm.can_accept_cta:
                         continue
-                    cta = premade.get(next_cta) or CTAState(launch,
-                                                            next_cta)
+                    cta = premade.get(next_cta) or new_cta(next_cta)
                     next_cta += 1
                     if not cta.finished:
                         sm.assign_cta(cta)
@@ -169,6 +195,43 @@ class GpuTiming:
         samples.finalize()
         self._fold_cache_stats(sms, memsys, stats)
         return stats, samples
+
+    def _select_feed(self, launch: LaunchContext, first_cta: int,
+                     premade_ctas) -> tuple[FunctionalEngine, str | None]:
+        """The launch's engine and why it cannot be trace-driven (None
+        when it can).
+
+        A trace needs a whole launch the megablock tier runs without a
+        bailout (an eligible plan, no barrier a divergent branch can
+        reach) under the plan's own reconvergence map.  Launches that
+        may stop partway — a fault filter can wedge them, an explicit
+        cycle budget can cut them off — stay execution-driven so memory
+        is left exactly as far as the execution got.
+        """
+        reason = None
+        if first_cta or premade_ctas:
+            reason = "resumed from a checkpoint"
+        elif self.reconverge_at_exit:
+            reason = "reconverge_at_exit ablation"
+        elif self.mem_fault_filter is not None:
+            reason = "memory fault filter armed"
+        elif self.max_cycles != _MAX_CYCLES_DEFAULT:
+            reason = "explicit cycle budget"
+        if reason is not None:
+            return FunctionalEngine(
+                launch, reconverge_at_exit=self.reconverge_at_exit), reason
+        engine = FunctionalEngine(launch, fast_mode="megablock")
+        plan = engine._megaplan
+        if plan is None:
+            why = engine.megablock_fallback
+            reason = (f"no megablock plan: {why[0]}" if why
+                      else "no megablock plan: legacy quirks")
+        elif any(ctrl["op"] == "bar" and ctrl["div"]
+                 for ctrl in plan.controls.values()):
+            reason = "barrier reachable from a divergent branch"
+        elif plan.reconvergence != launch.kernel.reconvergence:
+            reason = "reconvergence map differs from the plan's"
+        return engine, reason
 
     @staticmethod
     def _charge_idle(sms: list[SMCore], samples: SampleBlock,

@@ -4,9 +4,11 @@ Each SM hosts up to ``max_ctas_per_sm`` CTAs; warps are statically
 assigned to ``schedulers_per_sm`` loose-round-robin schedulers.  A warp
 is *ready* when its latency timer expired and it has no outstanding
 memory transactions (a serial-dependence simplification of GPGPU-Sim's
-scoreboard — see DESIGN.md §5).  Issue pulls the next instruction from
-the functional engine, so the timing model is execution-driven exactly
-like GPGPU-Sim's.
+scoreboard — see DESIGN.md §5).  Issue pulls the next instruction's
+record from the launch's feed: the functional engine itself
+(execution-driven, like GPGPU-Sim) or a replayed per-warp trace
+(:mod:`repro.timing.replay`); both honour the same ``step_warp`` /
+``try_release_barrier`` contract.
 
 Per-cycle issue outcomes feed the warp-issue breakdown (W0 idle / W0
 data-hazard / W1..W32 by active-lane count) that AerialVision's warp

@@ -80,6 +80,29 @@ def _print_megablock_census(events: list[dict]) -> None:
                           for k, v in sorted(last_counter.items())))
 
 
+def _print_feed_census(events: list[dict]) -> None:
+    """Which feed drove each timing launch: ``trace`` (replayed from a
+    recording megablock run) or ``execution`` (the scalar engine), with
+    the reasons launches could not be traced."""
+    feeds: Counter = Counter()
+    reasons: Counter = Counter()
+    for event in events:
+        if (event.get("ph") != "X"
+                or not event.get("name", "").startswith("timing:")):
+            continue
+        args = event.get("args") or {}
+        if "feed" not in args:
+            continue
+        feeds[args["feed"]] += 1
+        if "feed_reason" in args:
+            reasons[str(args["feed_reason"])] += 1
+    if feeds:
+        print("  timing feeds: "
+              + ", ".join(f"{k}={n}" for k, n in sorted(feeds.items())))
+        for reason, count in reasons.most_common(5):
+            print(f"    execution-driven x{count}: {reason}")
+
+
 def _cmd_summary(args: argparse.Namespace) -> int:
     events = _load(args.trace)
     problems = validate_chrome_events(events)
@@ -105,6 +128,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
         print("  kernel cache: "
               + ", ".join(f"{k}={n}" for k, n in sorted(cache.items())))
     _print_megablock_census(events)
+    _print_feed_census(events)
     records = kernel_records_from_events(events)
     if not records:
         print("no kernel slices in trace")

@@ -9,11 +9,13 @@ fixes the fan-out exposed (kernel-cache write races, stale worker
 environments, truncated checkpoints).
 """
 
+import http.client
 import json
 import multiprocessing
 import os
 import pickle
 import threading
+import urllib.parse
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from repro.service.jobs import (
     JobQueue, job_key, run_conv, run_lenet, run_saxpy)
 from repro.service.pool import (
     ShardExecutor, ShardedFunctionalBackend, _diff_writes)
-from repro.service.rest import make_server
+from repro.service.rest import MAX_BODY_BYTES, make_server
 from repro.trace.export import write_chrome_trace
 from repro.trace.tracer import TraceEvent, Tracer, shard_tid
 
@@ -614,6 +616,34 @@ class TestRestService:
     def test_unknown_route_is_404(self, service):
         with pytest.raises(ServiceError, match="HTTP 404"):
             service._request("GET", "/api/nope")
+
+    @staticmethod
+    def _post_declaring(service, length: int) -> tuple[int, dict]:
+        """POST /api/jobs declaring *length* body bytes, sending none."""
+        url = urllib.parse.urlsplit(service.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port,
+                                          timeout=10)
+        try:
+            conn.putrequest("POST", "/api/jobs")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(length))
+            conn.endheaders()
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    def test_negative_content_length_is_400(self, service):
+        status, payload = self._post_declaring(service, -1)
+        assert status == 400
+        assert "negative" in payload["error"]
+        assert service.health() == {"ok": True}
+
+    def test_oversized_content_length_is_413(self, service):
+        status, payload = self._post_declaring(service, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in payload["error"]
+        assert service.health() == {"ok": True}
 
 
 # ---------------------------------------------------------------------------
